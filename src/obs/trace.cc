@@ -64,8 +64,12 @@ void TraceRecorder::BeginWindow(uint64_t seq, uint64_t events) {
   if (slot == nullptr || seq == 0) return;
   // Invalidate the overwritten window before clearing: a concurrent
   // Export that re-reads started sees 0 (or the new seq), never the old
-  // seq over half-cleared fields.
-  slot->started.store(0, std::memory_order_release);
+  // seq over half-cleared fields. The fence keeps the relaxed stores
+  // below (and every later stage/span store of this window) from
+  // becoming visible before the invalidation — a release store alone
+  // orders only what precedes it.
+  slot->started.store(0, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
   slot->finished.store(0, std::memory_order_relaxed);
   slot->events.store(events, std::memory_order_relaxed);
   slot->bytes_logged.store(0, std::memory_order_relaxed);
@@ -108,6 +112,11 @@ void TraceRecorder::AddSpan(uint64_t seq, TraceSpanKind kind, uint32_t query,
     return;
   }
   SpanSlot& span = slot->spans[i];
+  // Pairs with Export()'s acquire fence: a reader that sees this
+  // payload also sees everything before our acquire of started=seq,
+  // including the invalidation that preceded it, so a copy of window
+  // seq - capacity that reads these fields fails its started re-check.
+  std::atomic_thread_fence(std::memory_order_release);
   const uint64_t meta = static_cast<uint64_t>(kind) |
                         (static_cast<uint64_t>(query & 0xffff) << 8) |
                         (static_cast<uint64_t>(shard & 0xffff) << 24) |
@@ -115,6 +124,7 @@ void TraceRecorder::AddSpan(uint64_t seq, TraceSpanKind kind, uint32_t query,
   span.meta.store(meta, std::memory_order_relaxed);
   span.begin_ns.store(begin_ns, std::memory_order_relaxed);
   span.end_ns.store(end_ns, std::memory_order_relaxed);
+  span.seq.store(seq, std::memory_order_release);
 }
 
 void TraceRecorder::FinishWindow(uint64_t seq) {
@@ -149,6 +159,9 @@ std::vector<WindowTrace> TraceRecorder::Export() const {
     w.spans.reserve(n);
     for (uint32_t j = 0; j < n; ++j) {
       const SpanSlot& span = slot.spans[j];
+      // Counted but not (yet) published for this window: the payload is
+      // half-written or still belongs to an older window.
+      if (span.seq.load(std::memory_order_acquire) != seq) continue;
       const uint64_t meta = span.meta.load(std::memory_order_relaxed);
       TraceSpan s;
       s.kind = static_cast<TraceSpanKind>(meta & 0xff);
@@ -157,7 +170,7 @@ std::vector<WindowTrace> TraceRecorder::Export() const {
       s.mode = static_cast<uint32_t>((meta >> 40) & 0xff);
       s.begin_ns = span.begin_ns.load(std::memory_order_relaxed);
       s.end_ns = span.end_ns.load(std::memory_order_relaxed);
-      if (s.end_ns != 0) w.spans.push_back(s);
+      w.spans.push_back(s);
     }
     // Seqlock validation: if the slot was recycled while we copied, the
     // frame moved on — drop the torn copy.

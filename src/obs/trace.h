@@ -10,10 +10,13 @@
 //
 // TraceRecorder is a fixed-capacity ring of seqlock-framed slots:
 //
-//  - BeginWindow(seq) claims slot seq % capacity by publishing
-//    started=seq (release) after zeroing the slot. A window overwrites
-//    whatever was capacity windows ago — retention is "last N", never
-//    an allocation or a lock.
+//  - BeginWindow(seq) claims slot seq % capacity: it invalidates the
+//    slot (started=0, then a release fence), resets the frame fields
+//    (events, WAL bytes, stage intervals, span count) and publishes
+//    started=seq (release). A window overwrites whatever was capacity
+//    windows ago — retention is "last N", never an allocation or a
+//    lock. Span slots are NOT cleared: they still hold the spans of
+//    the window the slot last carried until a new span overwrites them.
 //  - Each pipeline stage writes its own begin/end timestamp pair into
 //    the slot (relaxed atomics). Stages are single-writer by
 //    construction — the batcher owns queue-wait/coalesce/WAL/fan-out,
@@ -21,12 +24,27 @@
 //    apply/publish sub-span — so there are no write-write races, and
 //    the relaxed stores keep the hot path at one vDSO clock read plus
 //    one store per stage edge.
-//  - FinishWindow(seq) publishes finished=seq (release). Export()
-//    re-checks started after copying a slot (acquire fences on both
-//    reads) and discards slots whose frame changed mid-copy; a slot
-//    with started==seq but finished!=seq exports as complete=false —
+//  - AddSpan claims a span index with fetch_add, issues a release
+//    fence, writes the span payload (relaxed) and then publishes the
+//    span's tag = seq (release). The tag is what makes a span belong
+//    to a window: the span count can already cover an index whose
+//    payload still holds the window from capacity seqs ago, or is
+//    half-written. The fence orders the payload after the writer's
+//    acquire of started, so a reader that sees the payload of a later
+//    window also sees that window's invalidation of started.
+//  - FinishWindow(seq) publishes finished=seq (release).
+//  - Export() copies a slot, keeping only spans whose tag (acquire)
+//    equals the slot's seq, then acquire-fences and re-checks started;
+//    a slot whose frame changed mid-copy is dropped. A slot with
+//    started==seq but finished!=seq exports as complete=false —
 //    exactly what a flight-recorder dump wants to show for the window
-//    that was in flight when the pipeline died.
+//    that was in flight when the pipeline died; its spans are each
+//    either fully written for that window or left out.
+//
+// Every field is an atomic, so ThreadSanitizer reports none of this:
+// a span mixing two windows' fields is a logic race, not a data race.
+// The concurrent writer/exporter hammer in tests/obs_trace_test.cc is
+// the check, and it only bites on an optimized multi-core run.
 //
 // Everything compiles out under -DRINGDB_NO_METRICS (capacity forced to
 // zero, every call an early-out), and recording is timing-granular only
@@ -131,7 +149,8 @@ class TraceRecorder {
              uint64_t end_ns);
   void SetBytesLogged(uint64_t seq, uint64_t bytes, bool synced);
   // Appends a sub-span; safe from concurrent shard/query workers (slot
-  // claim via fetch_add).
+  // claim via fetch_add). Must happen-before BeginWindow(seq +
+  // capacity), as it does when spans are added before FinishWindow.
   void AddSpan(uint64_t seq, TraceSpanKind kind, uint32_t query,
                uint32_t shard, uint32_t mode, uint64_t begin_ns,
                uint64_t end_ns);
@@ -152,12 +171,17 @@ class TraceRecorder {
     std::atomic<uint64_t> meta{0};  // kind | query<<8 | shard<<24 | mode<<40
     std::atomic<uint64_t> begin_ns{0};
     std::atomic<uint64_t> end_ns{0};
+    // Publication tag: the window seq whose AddSpan wrote the payload,
+    // stored (release) after the three payload stores.
+    std::atomic<uint64_t> seq{0};
   };
   struct Slot {
-    // Seqlock frame: started is published (release) after the clear,
-    // finished (release) after the last stage write. A reader that sees
+    // Seqlock frame: started is invalidated (0, then a release fence)
+    // before the reset and published (release) after it; finished
+    // (release) after the last stage write. A reader that sees
     // started==seq before and after its copy, with acquire ordering,
-    // holds a consistent snapshot of everything written in between.
+    // holds a consistent snapshot of the frame fields; spans are
+    // additionally gated on their own tag.
     std::atomic<uint64_t> started{0};
     std::atomic<uint64_t> finished{0};
     std::atomic<uint64_t> events{0};

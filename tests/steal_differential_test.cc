@@ -156,6 +156,11 @@ TEST_P(StealDifferentialTest, ForcedAndDisabledStealingMatchOracle) {
   const exec::ShardedExecutor::StealStats d =
       disabled->sharded().steal_stats();
   EXPECT_EQ(d.morsels_stolen, 0u);
+#ifdef RINGDB_NO_METRICS
+  // The steal counters are observability (RINGDB_OBS): compiled out,
+  // they read 0, so only the result differential above is checked.
+  (void)f;
+#else
   if (forced->num_shards() > 1) {
     EXPECT_GT(f.morsels_stolen, 0u)
         << "forced mode never stole across " << kEvents << " events";
@@ -165,6 +170,7 @@ TEST_P(StealDifferentialTest, ForcedAndDisabledStealingMatchOracle) {
   } else {
     EXPECT_EQ(f.morsels_stolen, 0u);
   }
+#endif
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCells, StealDifferentialTest,
@@ -210,9 +216,11 @@ TEST(StealDifferentialTest, PublishedSubSnapshotsInvariantToStealing) {
       EXPECT_EQ(d_parts[s]->At(key.begin(), key.size()), m);
     });
   }
+#ifndef RINGDB_NO_METRICS
   if (forced->num_shards() > 1) {
     EXPECT_GT(forced->sharded().steal_stats().morsels_stolen, 0u);
   }
+#endif
 }
 
 }  // namespace
